@@ -77,7 +77,7 @@ type AblationResult struct {
 
 // RunnerResult measures the facade's backend-neutral dispatch overhead: the
 // same warm (memo-hit) spec repeatedly dispatched through a LocalRunner and
-// through a RemoteRunner against an in-process HTTP server. Simulation cost
+// through a remote runner against an in-process HTTP server. Simulation cost
 // cancels out, so the numbers isolate what a caller pays per call for each
 // backend — scheduling and record flattening locally; HTTP, JSON and the
 // job machinery remotely.
@@ -680,7 +680,10 @@ func measureRunnerOverhead(warmup, measure uint64) (RunnerResult, error) {
 	}
 	defer ln.Close()
 	go http.Serve(ln, srv)
-	remote := repro.NewRemoteRunner("http://" + ln.Addr().String())
+	remote, err := repro.OpenRemoteRunner("http://"+ln.Addr().String(), repro.RunnerOptions{})
+	if err != nil {
+		return RunnerResult{}, err
+	}
 	defer remote.Close()
 	remoteUs, err := timeCalls(remote)
 	if err != nil {

@@ -49,7 +49,10 @@ func BenchmarkRunnerRemoteOverhead(b *testing.B) {
 			ts.Close()
 			srv.Close()
 		}()
-		remote := repro.NewRemoteRunner(ts.URL)
+		remote, err := repro.OpenRemoteRunner(ts.URL, repro.RunnerOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
 		defer remote.Close()
 		bench(b, remote)
 	})

@@ -25,7 +25,7 @@
 // genprog.
 //
 // Ctrl-C (SIGINT) or SIGTERM cancels cleanly: in-flight simulations stop at
-// their next cancellation checkpoint (local and remote — a remote job is
+// their next cancellation checkpoint (local and remote — remote work is
 // cancelled server-side) and the process exits nonzero.
 package main
 
@@ -116,23 +116,19 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "experiments: -store-dir applies to in-process runs; a remote daemon's store is set by vpserved -store-dir")
 			return 2
 		}
-	}
-	switch {
-	case *shards != "":
-		// A fleet backend: spec-sharded routing across the listed daemons.
-		sharded, err := repro.OpenShardedRunner(repro.RunnerOptions{
-			Shards:      strings.Split(*shards, ","),
-			TraceWriter: opts.TraceWriter,
-		})
+		// One daemon is a one-shard fleet: -server and -shards share the
+		// fleet front. Remote runs trace dispatch spans only; the daemons
+		// trace simulation stages via vpserved -trace-log.
+		urls := []string{*server}
+		if *shards != "" {
+			urls = strings.Split(*shards, ",")
+		}
+		sharded, err := repro.OpenShardedRunner(repro.RunnerOptions{Shards: urls, TraceWriter: opts.TraceWriter})
 		if err != nil {
 			return fail(err)
 		}
 		runner = sharded
-	case *server != "":
-		// Remote runs trace dispatch spans only; the daemon traces
-		// simulation stages via vpserved -trace-log.
-		runner = repro.OpenRemoteRunner(*server, repro.RunnerOptions{TraceWriter: opts.TraceWriter})
-	default:
+	} else {
 		local, err := repro.OpenLocalRunner(opts)
 		if err != nil {
 			return fail(err)

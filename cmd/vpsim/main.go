@@ -259,23 +259,21 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	}
 
 	var runner repro.Runner
-	if *shards != "" {
-		// A fleet backend: spec-sharded routing across the listed daemons.
-		// Windows and stores are per-shard (vpserved flags), like -server.
-		sharded, err := repro.OpenShardedRunner(repro.RunnerOptions{
-			Shards:      strings.Split(*shards, ","),
-			TraceWriter: opts.TraceWriter,
-		})
+	if *server != "" || *shards != "" {
+		// One daemon is a one-shard fleet: -server and -shards share the
+		// fleet front. Windows and stores are per daemon (vpserved flags);
+		// the trace writer still applies: a remote runner traces its
+		// dispatch spans (the daemons trace simulation stages via vpserved
+		// -trace-log).
+		urls := []string{*server}
+		if *shards != "" {
+			urls = strings.Split(*shards, ",")
+		}
+		sharded, err := repro.OpenShardedRunner(repro.RunnerOptions{Shards: urls, TraceWriter: opts.TraceWriter})
 		if err != nil {
 			return fail(err)
 		}
 		runner = sharded
-	} else if *server != "" {
-		// Remote windows are the daemon's; the flags size local runs only.
-		// The trace writer still applies: a remote runner traces its
-		// dispatch spans (the daemon traces simulation stages via
-		// vpserved -trace-log).
-		runner = repro.OpenRemoteRunner(*server, repro.RunnerOptions{TraceWriter: opts.TraceWriter})
 	} else {
 		local, err := repro.OpenLocalRunner(opts)
 		if err != nil {

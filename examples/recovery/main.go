@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -14,6 +15,10 @@ import (
 )
 
 func main() {
+	r := repro.NewLocalRunner(repro.RunnerOptions{})
+	defer r.Close()
+	ctx := context.Background()
+
 	type cell struct {
 		counters repro.Counters
 		recovery repro.Recovery
@@ -35,7 +40,7 @@ func main() {
 	for _, k := range []string{"applu", "namd", "gobmk", "art"} {
 		fmt.Printf("%-10s", k)
 		for _, c := range cells {
-			s, err := repro.Simulate(repro.Options{
+			rec, err := r.Simulate(ctx, repro.Spec{
 				Kernel:    k,
 				Predictor: "vtage",
 				Counters:  c.counters,
@@ -44,7 +49,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf(" %16.3f", s.Speedup)
+			fmt.Printf(" %16.3f", rec.Speedup)
 		}
 		fmt.Println()
 	}

@@ -4,7 +4,7 @@
 // health/stats observability.
 //
 // With no arguments it starts an in-process server on a random port — a
-// self-contained demo of repro.NewServer + repro.NewRemoteRunner:
+// self-contained demo of repro.NewServer + repro.OpenRemoteRunner:
 //
 //	go run ./examples/service
 //
@@ -60,11 +60,14 @@ func main() {
 
 	// The Runner is the backend-neutral face of the same daemon: this block
 	// runs unchanged against a LocalRunner.
-	r := repro.NewRemoteRunner(base)
+	r, err := repro.OpenRemoteRunner(base, repro.RunnerOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
 	defer r.Close()
 
-	// Stream a small predictor shoot-out: records arrive in spec order as
-	// the server finishes them.
+	// A small predictor shoot-out: records arrive in spec order, one
+	// batch-sync frame (up to 256 specs) at a time.
 	specs := []repro.Spec{
 		{Kernel: "art", Predictor: "lvp", Counters: repro.FPC},
 		{Kernel: "art", Predictor: "stride", Counters: repro.FPC},

@@ -5,6 +5,8 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net/url"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -15,40 +17,19 @@ import (
 	"repro/internal/service/client"
 )
 
-// Options configures a fleet Runner. Only Shards is required.
-type Options struct {
-	// Shards is the vpserved base URLs forming the fleet, e.g.
-	// {"http://127.0.0.1:8437", "http://127.0.0.1:8438"}. Order is
-	// irrelevant to routing (the ring hashes the URLs themselves) but fixed
-	// at construction: a fleet does not resize in place.
-	Shards []string
+const (
+	// maxFrame caps the specs per batch-sync frame, well under the server's
+	// default 4096 admission limit. Oversized frames are also split
+	// adaptively when a shard answers 413.
+	maxFrame = 256
 
-	// ProbeInterval is how often the background prober refreshes every
-	// shard's health (default 2s; negative disables background probing —
-	// dispatch-time classification still marks shards down/draining).
-	ProbeInterval time.Duration
+	// probeTimeout bounds one health probe.
+	probeTimeout = time.Second
 
-	// ProbeTimeout bounds one health probe (default 1s).
-	ProbeTimeout time.Duration
-
-	// MaxFrame caps the specs per batch-sync frame (default 256, well under
-	// the server's default 4096 admission limit). Oversized frames are also
-	// split adaptively when a shard answers 413.
-	MaxFrame int
-}
-
-func (o Options) withDefaults() Options {
-	if o.ProbeInterval == 0 {
-		o.ProbeInterval = 2 * time.Second
-	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = time.Second
-	}
-	if o.MaxFrame <= 0 {
-		o.MaxFrame = 256
-	}
-	return o
-}
+	// probeInterval is how often the background prober refreshes every
+	// shard's health.
+	probeInterval = 2 * time.Second
+)
 
 // Shard health states. A shard starts Up (optimistically — the first failed
 // dispatch or probe demotes it), turns Draining when it answers the 503
@@ -99,7 +80,6 @@ type ShardStatus struct {
 // Runner is the fleet front: it implements the same method set as the
 // public repro.Runner over N vpserved shards. Safe for concurrent use.
 type Runner struct {
-	opts   Options
 	shards []*shard
 	ring   *ring
 
@@ -114,33 +94,57 @@ type Runner struct {
 	progs map[string][]byte
 }
 
-// New builds the fleet front and starts its background prober. It does not
+// New builds the fleet front over shards, the vpserved base URLs forming
+// the fleet (e.g. {"http://127.0.0.1:8437", "http://127.0.0.1:8438"}).
+// Order is irrelevant to routing (the ring hashes the URLs themselves) but
+// fixed at construction: a fleet does not resize in place. New does not
 // contact the shards: a fleet over daemons that are still starting becomes
-// healthy as soon as they answer.
-func New(o Options) (*Runner, error) {
-	o = o.withDefaults()
-	if len(o.Shards) == 0 {
+// healthy as soon as they answer. A fleet of two or more shards starts a
+// background health prober; a single shard has no alternative to route to,
+// so it gets none and its client sends no /v1/healthz traffic.
+func New(shards []string) (*Runner, error) { return newRunner(shards, probeInterval) }
+
+// newRunner is New with the prober's period; a non-positive interval
+// disables background probing (dispatch-time classification still marks
+// shards down or draining).
+func newRunner(shards []string, interval time.Duration) (*Runner, error) {
+	if len(shards) == 0 {
 		return nil, errors.New("fleet: no shards configured")
 	}
-	seen := make(map[string]bool, len(o.Shards))
+	seen := make(map[string]bool, len(shards))
 	f := &Runner{
-		opts:  o,
-		ring:  newRing(o.Shards),
+		ring:  newRing(shards),
 		stop:  make(chan struct{}),
 		progs: make(map[string][]byte),
 	}
-	for _, u := range o.Shards {
-		if u == "" || seen[u] {
-			return nil, fmt.Errorf("fleet: empty or duplicate shard URL %q", u)
+	for _, u := range shards {
+		if err := checkShardURL(u); err != nil {
+			return nil, err
+		}
+		if seen[u] {
+			return nil, fmt.Errorf("fleet: duplicate shard URL %q", u)
 		}
 		seen[u] = true
 		f.shards = append(f.shards, &shard{url: u, c: client.New(u)})
 	}
-	if o.ProbeInterval > 0 {
+	if interval > 0 && len(shards) > 1 {
 		f.wg.Add(1)
-		go f.probeLoop()
+		go f.probeLoop(interval)
 	}
 	return f, nil
+}
+
+// checkShardURL rejects a shard URL net/http cannot dial: anything but an
+// http(s) URL with a host and no surrounding whitespace. Accepting one would
+// mark its shard down on the first dispatch and leave the fleet running
+// silently on the others.
+func checkShardURL(raw string) error {
+	u, err := url.Parse(raw)
+	if err != nil || strings.TrimSpace(raw) != raw ||
+		(u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
+		return fmt.Errorf("fleet: shard URL %q is not an http(s) URL with a host", raw)
+	}
+	return nil
 }
 
 // Shards reports every shard's current health, in configuration order.
@@ -168,9 +172,9 @@ func (f *Runner) Shards() []ShardStatus {
 }
 
 // probeLoop refreshes every shard's health on a timer until Close.
-func (f *Runner) probeLoop() {
+func (f *Runner) probeLoop(interval time.Duration) {
 	defer f.wg.Done()
-	t := time.NewTicker(f.opts.ProbeInterval)
+	t := time.NewTicker(interval)
 	defer t.Stop()
 	for {
 		select {
@@ -191,7 +195,7 @@ func (f *Runner) ProbeOnce(ctx context.Context) {
 		wg.Add(1)
 		go func(s *shard) {
 			defer wg.Done()
-			pctx, cancel := context.WithTimeout(ctx, f.opts.ProbeTimeout)
+			pctx, cancel := context.WithTimeout(ctx, probeTimeout)
 			defer cancel()
 			h, err := s.c.Health(pctx)
 			switch {
@@ -397,8 +401,8 @@ func (f *Runner) scatter(ctx context.Context, wg *sync.WaitGroup, canon []harnes
 	for s, group := range groups {
 		for len(group) > 0 {
 			n := len(group)
-			if n > f.opts.MaxFrame {
-				n = f.opts.MaxFrame
+			if n > maxFrame {
+				n = maxFrame
 			}
 			frame := group[:n]
 			group = group[n:]
@@ -524,7 +528,7 @@ type ExperimentOptions struct {
 // server-rendered artifact. json/csv resolve the experiment's declared spec
 // set locally and scatter it through Batch, so the emitted bytes are
 // identical to a LocalRunner over the same specs. Nonzero o.Warmup/o.Measure
-// must match the shards' windows, same as a RemoteRunner.
+// must match the shards' windows: sizing is per daemon.
 func (f *Runner) Experiment(ctx context.Context, id string, o ExperimentOptions, w io.Writer) error {
 	switch o.Format {
 	case "", "text", "json", "csv":

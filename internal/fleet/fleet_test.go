@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -35,7 +37,7 @@ func startShards(t *testing.T, n int) (*Runner, []*service.Server, []*httptest.S
 		t.Cleanup(func() { ts.Close(); srv.Close() })
 		urls[i], srvs[i], tss[i] = ts.URL, srv, ts
 	}
-	f, err := New(Options{Shards: urls, ProbeInterval: -1}) // probes on demand only
+	f, err := newRunner(urls, -1) // probes on demand only
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,5 +184,37 @@ func TestFleetPerSpecFailureAttribution(t *testing.T) {
 	}
 	if want := "spec 2:"; !bytes.Contains([]byte(err.Error()), []byte(want)) {
 		t.Errorf("error %q does not attribute the failure to spec 2", err)
+	}
+}
+
+// TestNewRejectsUndialableShardURLs: a shard URL net/http cannot dial is a
+// configuration error named at construction, not a shard that is marked
+// down on first use while the fleet silently runs on the others.
+func TestNewRejectsUndialableShardURLs(t *testing.T) {
+	for _, bad := range []string{
+		" http://127.0.0.1:2", // the second entry of "-shards 'a, b'"
+		"http://127.0.0.1:2 ",
+		"127.0.0.1:2",
+		"ftp://127.0.0.1:2",
+		"http://",
+		"",
+	} {
+		f, err := New([]string{"http://127.0.0.1:1", bad})
+		if err == nil {
+			f.Close()
+			t.Errorf("New accepted shard URL %q", bad)
+			continue
+		}
+		if !strings.Contains(err.Error(), fmt.Sprintf("%q", bad)) {
+			t.Errorf("error for %q does not name the URL: %v", bad, err)
+		}
+	}
+	f, err := New([]string{"http://127.0.0.1:1", "https://example.test:8437/"})
+	if err != nil {
+		t.Fatalf("well-formed shard URLs rejected: %v", err)
+	}
+	f.Close()
+	if _, err := New([]string{"http://127.0.0.1:1", "http://127.0.0.1:1"}); err == nil {
+		t.Error("duplicate shard URL accepted")
 	}
 }

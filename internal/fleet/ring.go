@@ -4,8 +4,9 @@
 // distinct spec on exactly one warm shard (memo/store/snapshot locality),
 // scatter/gather batching amortizes the HTTP round trip over whole
 // sub-batches, and health probing (/v1/healthz + /v1/statsz) marks shards
-// down or draining so work re-routes without changing results. Reachable
-// from outside the module via repro.OpenShardedRunner.
+// down or draining so work re-routes without changing results. A one-shard
+// fleet is the client for a single daemon. Reachable from outside the module
+// via repro.OpenShardedRunner and repro.OpenRemoteRunner.
 package fleet
 
 import (

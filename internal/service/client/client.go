@@ -62,7 +62,7 @@ func NewWithHTTPClient(base string, hc *http.Client) *Client {
 
 // APIError is a non-2xx response decoded from the server's error envelope.
 // It is the service-level type (status, stable code, message): assert on it
-// with errors.As at any layer above the client, RemoteRunner included.
+// with errors.As at any layer above the client, the remote runners included.
 type APIError = service.APIError
 
 // Close releases idle connections held by the underlying transport. The

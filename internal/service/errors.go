@@ -20,7 +20,8 @@ const (
 	// CodeUnknownProgram marks a spec naming a prog:<sha256> reference the
 	// daemon has not seen. It is distinct from CodeNotFound because it is
 	// curable: upload the program (POST /v1/programs) and retry — the
-	// RemoteRunner does exactly that, transparently.
+	// fleet front behind every remote runner does exactly that,
+	// transparently.
 	CodeUnknownProgram = "unknown_program"
 )
 
@@ -49,8 +50,8 @@ func codeForStatus(status int) string {
 // APIError is a non-2xx service response: the HTTP status, a stable
 // machine-readable code, and the human-readable message from the error
 // envelope. The server's apiError writes it, the typed client's do()
-// returns it from every call, and RemoteRunner surfaces it unwrapped — so
-// errors.As(err, &apiErr) works at any consumer layer.
+// returns it from every call, and the remote runners surface it at most
+// wrapped — so errors.As(err, &apiErr) works at any consumer layer.
 type APIError struct {
 	Status int    `json:"-"`
 	Code   string `json:"code,omitempty"`

@@ -396,7 +396,7 @@ func (s *Server) handleProgramList(w http.ResponseWriter, r *http.Request) {
 // checkPrograms verifies every prog: reference in specs against the
 // session's registry before admitting work, so a spec naming a program this
 // daemon never received fails fast with the curable CodeUnknownProgram (the
-// RemoteRunner reacts by uploading and retrying) instead of dying inside a
+// fleet front reacts by uploading and retrying) instead of dying inside a
 // job. Reports false after writing the error.
 func (s *Server) checkPrograms(w http.ResponseWriter, specs ...harness.Spec) bool {
 	for _, sp := range specs {

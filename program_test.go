@@ -10,7 +10,7 @@ import (
 
 // TestProgramBackendEquivalence is the tentpole's acceptance test: a
 // generated program registered with both backends must carry one identity
-// and simulate byte-identically through LocalRunner and RemoteRunner —
+// and simulate byte-identically through a LocalRunner and a remote runner —
 // Simulate and Batch alike.
 func TestProgramBackendEquivalence(t *testing.T) {
 	local, remote := newBackends(t)
@@ -91,7 +91,7 @@ func TestRemoteRunnerReuploadsAfterRestart(t *testing.T) {
 	}))
 	t.Cleanup(ts.Close)
 
-	remote := NewRemoteRunner(ts.URL)
+	remote := openRemote(t, ts.URL, RunnerOptions{})
 	ctx := context.Background()
 	prog, err := GenerateProgram("branchy", 99)
 	if err != nil {

@@ -31,8 +31,9 @@ type Record = harness.Record
 type ExperimentInfo = service.ExperimentInfo
 
 // Runner is the backend-neutral way to run simulations: the same interface
-// drives an in-process session (LocalRunner) or a vpserved daemon
-// (RemoteRunner), so CLIs, examples and tests retarget with one flag.
+// drives an in-process session (LocalRunner), one vpserved daemon
+// (OpenRemoteRunner) or a fleet of them (OpenShardedRunner), so CLIs,
+// examples and tests retarget with one flag.
 // Implementations reuse one warm session per Runner — repeated and
 // overlapping work hits the memo instead of re-paying predictor and cache
 // warmup.
@@ -59,9 +60,9 @@ type Runner interface {
 	// and returns the workload string to put in Spec.Program: normally the
 	// content-addressed "prog:<sha256>" reference, or the builtin kernel's
 	// name when p is byte-identical to one. A LocalRunner registers it on
-	// the warm session; a RemoteRunner uploads it (POST /v1/programs) and
-	// re-uploads transparently if the daemon restarts, so program specs
-	// behave identically across backends.
+	// the warm session; a remote or sharded runner uploads it to every
+	// daemon (POST /v1/programs) and re-uploads transparently if one
+	// restarts, so program specs behave identically across backends.
 	RegisterProgram(ctx context.Context, p *Program) (string, error)
 
 	// Close releases the runner's resources. The error is always nil today;
@@ -70,10 +71,7 @@ type Runner interface {
 }
 
 // Interface compliance is part of the facade contract.
-var (
-	_ Runner = (*LocalRunner)(nil)
-	_ Runner = (*RemoteRunner)(nil)
-)
+var _ Runner = (*LocalRunner)(nil)
 
 // MemoStats snapshots a session's caching effectiveness: in-process memo
 // hits, persistent-store hits, and misses (simulations actually started),
@@ -94,17 +92,18 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 // RunnerOptions sizes a LocalRunner: per-simulation windows and the worker
 // pool. The zero value is the paper's interactive default (50k warmup /
 // 250k measured µops, GOMAXPROCS workers, no persistent store, no
-// observability). OpenRemoteRunner honours Metrics and TraceWriter too —
-// the other fields describe the local session a remote daemon owns itself.
+// observability). OpenRemoteRunner and OpenShardedRunner honour Metrics
+// and TraceWriter too — windows, workers and the store describe the local
+// session a remote daemon owns itself.
 type RunnerOptions struct {
 	Warmup  uint64 // µops before measurement per simulation (default 50_000)
 	Measure uint64 // measured µops per simulation (default 250_000)
 	Workers int    // parallel simulation workers (<=0: GOMAXPROCS)
 
 	// Shards is the vpserved base URLs a sharded runner routes across
-	// (OpenShardedRunner). Ignored by the local and remote constructors:
-	// like StoreDir for LocalRunner, it configures only the backend that
-	// reads it.
+	// (OpenShardedRunner). Ignored by OpenLocalRunner and replaced by
+	// OpenRemoteRunner's one URL: like StoreDir for LocalRunner, it
+	// configures only the backend that reads it.
 	Shards []string
 
 	// StoreDir, when non-empty, attaches a persistent content-addressed

@@ -31,7 +31,7 @@ func TestRunnerDispatchObservability(t *testing.T) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	remote := OpenRemoteRunner(ts.URL, RunnerOptions{Metrics: reg, TraceWriter: &remoteTrace})
+	remote := openRemote(t, ts.URL, RunnerOptions{Metrics: reg, TraceWriter: &remoteTrace})
 	t.Cleanup(func() {
 		local.Close()
 		remote.Close()

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+	"time"
 )
 
 // runnerWindows are small enough for -short while still exercising real
@@ -18,10 +19,10 @@ const (
 	runnerMeasure = 4_000
 )
 
-// newBackends builds the two Runner implementations over identical window
-// sizing: a LocalRunner, and a RemoteRunner against an httptest-hosted
-// Server. Differential tests drive both and require identical output.
-func newBackends(t testing.TB) (*LocalRunner, *RemoteRunner) {
+// newBackends builds two Runners over identical window sizing: a
+// LocalRunner, and a remote runner against an httptest-hosted Server.
+// Differential tests drive both and require identical output.
+func newBackends(t testing.TB) (*LocalRunner, *ShardedRunner) {
 	t.Helper()
 	local := NewLocalRunner(RunnerOptions{Warmup: runnerWarmup, Measure: runnerMeasure, Workers: 4})
 	srv, err := NewServer(ServerOptions{Warmup: runnerWarmup, Measure: runnerMeasure, Workers: 4})
@@ -29,7 +30,7 @@ func newBackends(t testing.TB) (*LocalRunner, *RemoteRunner) {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(srv)
-	remote := NewRemoteRunner(ts.URL)
+	remote := openRemote(t, ts.URL, RunnerOptions{})
 	t.Cleanup(func() {
 		local.Close()
 		remote.Close()
@@ -37,6 +38,16 @@ func newBackends(t testing.TB) (*LocalRunner, *RemoteRunner) {
 		srv.Close()
 	})
 	return local, remote
+}
+
+// openRemote is OpenRemoteRunner for tests: a constructor error fails t.
+func openRemote(t testing.TB, url string, o RunnerOptions) *ShardedRunner {
+	t.Helper()
+	r, err := OpenRemoteRunner(url, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
 }
 
 // differentialSpecs is a small batch covering the classic four-field specs,
@@ -53,7 +64,7 @@ func differentialSpecs() []Spec {
 }
 
 // TestRunnerBackendEquivalence is the PR's acceptance test: the same specs
-// and the same experiment, driven through LocalRunner and RemoteRunner,
+// and the same experiment, driven through a LocalRunner and a remote runner,
 // must yield byte-identical records and rendered artifacts.
 func TestRunnerBackendEquivalence(t *testing.T) {
 	local, remote := newBackends(t)
@@ -219,6 +230,102 @@ func TestRemoteRunnerTypedErrors(t *testing.T) {
 	}
 }
 
+// TestRemoteRunnerBisectsOversizedFrames: a daemon whose admission limit is
+// smaller than the runner's frame answers 413, and the runner bisects the
+// frame until it fits — records stay byte-identical to a LocalRunner.
+func TestRemoteRunnerBisectsOversizedFrames(t *testing.T) {
+	local := shardedReference(t)
+	srv, err := NewServer(ServerOptions{Warmup: runnerWarmup, Measure: runnerMeasure, Workers: 2, MaxBatch: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	remote := openRemote(t, ts.URL, RunnerOptions{})
+	t.Cleanup(func() {
+		remote.Close()
+		ts.Close()
+		srv.Close()
+	})
+
+	specs := differentialSpecs()
+	want, got := asJSON(t, collectBatch(t, local, specs)), asJSON(t, collectBatch(t, remote, specs))
+	if !bytes.Equal(want, got) {
+		t.Errorf("bisected batch differs from local:\nlocal:  %s\nremote: %s", want, got)
+	}
+	requests := srv.Registry().CounterVec("repro_http_requests_total", "", "endpoint", "code")
+	if requests.With("batch_sync", "413").Value() == 0 {
+		t.Error("daemon never refused a frame: the 413 bisect path was not exercised")
+	}
+}
+
+// TestRemoteRunnerCancelFreesWorkers: cancelling a Batch mid-frame aborts
+// the batch-sync request, and the daemon stops the frame's simulations —
+// no worker stays busy and nothing stays queued for a caller that left.
+func TestRemoteRunnerCancelFreesWorkers(t *testing.T) {
+	// Long windows, so the frame is mid-simulation when cancelled.
+	srv, err := NewServer(ServerOptions{Warmup: 10_000, Measure: 2_000_000, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	remote := openRemote(t, ts.URL, RunnerOptions{})
+	t.Cleanup(func() {
+		remote.Close()
+		ts.Close()
+		srv.Close()
+	})
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done := make(chan error, 1)
+	go func() {
+		done <- remote.Batch(ctx, differentialSpecs(), func(Record) error { return nil })
+	}()
+	waitFor := func(what string, cond func(ServerStats) bool) {
+		t.Helper()
+		deadline := time.Now().Add(30 * time.Second)
+		for !cond(srv.Stats()) {
+			if time.Now().After(deadline) {
+				t.Fatalf("timed out waiting until %s: %+v", what, srv.Stats())
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	waitFor("the frame is simulating", func(st ServerStats) bool { return st.BusyWorkers > 0 })
+	cancel()
+	if err := <-done; !errors.Is(err, context.Canceled) {
+		t.Errorf("cancelled Batch returned %v, want context.Canceled", err)
+	}
+	waitFor("the daemon is idle", func(st ServerStats) bool { return st.BusyWorkers+st.QueuedTasks == 0 })
+}
+
+// TestRemoteRunnerClosedDaemon: a runner whose daemon is gone fails fast
+// with an error instead of hanging in re-route or re-upload loops.
+func TestRemoteRunnerClosedDaemon(t *testing.T) {
+	srv, err := NewServer(ServerOptions{Warmup: runnerWarmup, Measure: runnerMeasure, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	remote := openRemote(t, ts.URL, RunnerOptions{})
+	t.Cleanup(func() { remote.Close() })
+	ts.Close()
+	srv.Close()
+
+	ctx := context.Background()
+	spec := differentialSpecs()[1]
+	start := time.Now()
+	if _, err := remote.Simulate(ctx, spec); err == nil {
+		t.Error("Simulate against a closed daemon succeeded")
+	}
+	if err := remote.Batch(ctx, []Spec{spec}, func(Record) error { return nil }); err == nil {
+		t.Error("Batch against a closed daemon succeeded")
+	}
+	if d := time.Since(start); d > 5*time.Second {
+		t.Errorf("closed-daemon errors took %v, want under 5s", d)
+	}
+}
+
 // TestRunnerExperimentWindowOverride: a LocalRunner honours per-call window
 // overrides on a throwaway session — the output matches a runner built with
 // those windows natively.
@@ -240,71 +347,5 @@ func TestRunnerExperimentWindowOverride(t *testing.T) {
 	}
 	if misses := other.MemoStats().Misses; misses != 0 {
 		t.Errorf("window-overridden render leaked %d simulations into the runner's session", misses)
-	}
-}
-
-// TestDefaultRunnerPoolBounded: the process-default runner pool behind the
-// deprecated wrappers evicts oldest-first beyond its bound, so legacy
-// window sweeps cannot retain traces without limit.
-func TestDefaultRunnerPoolBounded(t *testing.T) {
-	for i := 0; i < maxDefaultRunners+3; i++ {
-		defaultLocalRunner(uint64(31+i), uint64(91+i), "") // windows nobody else uses
-	}
-	defaultMu.Lock()
-	n, ordered := len(defaultRunners), len(defaultOrder)
-	defaultMu.Unlock()
-	if n != maxDefaultRunners || ordered != n {
-		t.Errorf("pool holds %d runners (%d ordered), want %d", n, ordered, maxDefaultRunners)
-	}
-	// A repeat request for a live sizing is still the same runner.
-	a, _ := defaultLocalRunner(uint64(31+maxDefaultRunners+2), uint64(91+maxDefaultRunners+2), "")
-	b, _ := defaultLocalRunner(uint64(31+maxDefaultRunners+2), uint64(91+maxDefaultRunners+2), "")
-	if a != b {
-		t.Error("repeat lookup of a retained sizing returned a different runner")
-	}
-}
-
-// TestDeprecatedSimulateSharesDefaultRunner pins the facade-warmup fix: the
-// deprecated one-shot Simulate is backed by a process-default LocalRunner,
-// so a second identical call is a memo hit, not a cold re-run.
-func TestDeprecatedSimulateSharesDefaultRunner(t *testing.T) {
-	// A window sizing no other test uses, so this test owns its default
-	// runner and the counters below are exact.
-	o := Options{Kernel: "mcf", Predictor: "lvp", Counters: FPC, Warmup: 730, Measure: 2_610}
-	first, err := Simulate(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := defaultLocalRunner(o.Warmup, o.Measure, "")
-	if err != nil {
-		t.Fatal(err)
-	}
-	missesAfterFirst := r.MemoStats().Misses
-	if missesAfterFirst != 2 { // the run and its baseline
-		t.Fatalf("first Simulate started %d simulations, want 2", missesAfterFirst)
-	}
-	second, err := Simulate(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := r.MemoStats()
-	if m.Misses != missesAfterFirst {
-		t.Errorf("second identical Simulate started %d new simulations; the default runner is not shared",
-			m.Misses-missesAfterFirst)
-	}
-	if m.Hits == 0 {
-		t.Error("second identical Simulate recorded no memo hits")
-	}
-	if first != second {
-		t.Errorf("memoized Simulate changed its summary:\nfirst:  %+v\nsecond: %+v", first, second)
-	}
-
-	// The deprecated experiment wrapper shares the same default-runner pool.
-	var buf bytes.Buffer
-	if err := RunExperiment("table2", o.Warmup, o.Measure, &buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(buf.String(), "8") {
-		t.Errorf("table2 render looks wrong:\n%s", buf.String())
 	}
 }
