@@ -15,7 +15,8 @@ func runPattern(t *Tage, h *ghist.History, pc uint64, pattern []bool, n, tail in
 	correct := 0
 	for i := 0; i < n; i++ {
 		outcome := pattern[i%len(pattern)]
-		pred, m := t.Predict(pc)
+		var m TageMeta
+		pred := t.Predict(pc, &m)
 		if i >= n-tail && pred == outcome {
 			correct++
 		}
@@ -90,13 +91,13 @@ func TestTageCorrelatedBranches(t *testing.T) {
 	const n, tail = 8000, 1000
 	for i := 0; i < n; i++ {
 		a := rng.Intn(2) == 0
-		predA, ma := tg.Predict(10)
-		_ = predA
+		var ma, mb TageMeta
+		tg.Predict(10, &ma)
 		tg.Train(10, a, &ma)
 		h.Push(a, 10)
 
 		b := !a
-		predB, mb := tg.Predict(20)
+		predB := tg.Predict(20, &mb)
 		if i >= n-tail && predB == b {
 			correctB++
 		}
@@ -190,7 +191,8 @@ func TestTageRobustProperty(t *testing.T) {
 	var h ghist.History
 	tg := NewTage(DefaultTageConfig(), &h)
 	f := func(pc uint64, outcome, push bool) bool {
-		_, m := tg.Predict(pc)
+		var m TageMeta
+		tg.Predict(pc, &m)
 		tg.Train(pc, outcome, &m)
 		if push {
 			h.Push(outcome, pc)

@@ -132,9 +132,11 @@ func (t *Tage) tag(k int, pc uint64) uint16 {
 }
 
 // Predict returns the predicted direction for the conditional branch at pc
-// using the current speculative history, plus the bookkeeping for Train.
-func (t *Tage) Predict(pc uint64) (bool, TageMeta) {
-	var m TageMeta
+// using the current speculative history, and fills m with the bookkeeping
+// for Train. m is caller-provided scratch (the pipeline passes the µop's
+// in-flight payload slot) and is fully overwritten, the same contract as
+// core.Predictor.Predict.
+func (t *Tage) Predict(pc uint64, m *TageMeta) bool {
 	m.Prov, m.AltProv = -1, -1
 	m.BaseIdx = uint32(hash64(pc) & t.baseMask)
 	for k := 0; k < NTables; k++ {
@@ -155,11 +157,8 @@ func (t *Tage) Predict(pc uint64) (bool, TageMeta) {
 	} else {
 		m.Pred = basePred
 	}
-	return m.Pred, m.Meta()
+	return m.Pred
 }
-
-// Meta returns m itself; it exists so Predict reads naturally at call sites.
-func (m TageMeta) Meta() TageMeta { return m }
 
 // Train updates the predictor at commit time with the actual outcome.
 func (t *Tage) Train(pc uint64, taken bool, m *TageMeta) {

@@ -52,14 +52,16 @@ type Predictor interface {
 	// predictors read the current global history, and computational
 	// predictors advance their speculative per-PC value state.
 	//
-	// m is caller-provided scratch (typically the µop's in-flight payload
-	// slot) and must be fully overwritten — nothing survives from its
-	// previous use. Passing the scratch in rather than returning a Meta keeps
-	// the per-µop hot path free of large value copies and heap escapes.
+	// m is caller-provided scratch and must be fully overwritten — nothing
+	// survives from its previous use. The pipeline passes the µop's slot in
+	// its payload ring, which stays in place until the µop commits and the
+	// same slot is handed to Train. Passing the scratch in rather than
+	// returning a Meta keeps the per-µop hot path free of large value copies
+	// and heap escapes.
 	Predict(pc uint64, m *Meta)
 
 	// Train updates the predictor with the architectural result of the µop,
-	// in commit order. m is the Meta returned by the matching Predict.
+	// in commit order. m is the Meta the matching Predict filled in.
 	Train(pc uint64, actual Value, m *Meta)
 
 	// Squash discards speculative per-PC state (in-flight last values,

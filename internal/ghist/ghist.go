@@ -4,11 +4,13 @@
 // The history is a ring of conditional-branch outcomes plus a ring of branch
 // PC low bits (the path). Predictors register folded views (circular-shift
 // XOR folds of the most recent L bits into W-bit indices, as in TAGE/ITTAGE
-// hardware); folds are maintained incrementally on every push. On rollback
-// (which the pipeline invokes when it squashes) the fold values are restored
-// from a per-push checkpoint ring; positions that predate the checkpoint
-// window fall back to replay-rebuilding from the ring contents, which yields
-// the same values the incremental maintenance had at that position.
+// hardware); folds are maintained incrementally on every push, and a view
+// registered twice with the same (length, width, path) is maintained once
+// and shared. On rollback (which the pipeline invokes when it squashes) the
+// fold values are restored from a per-push checkpoint ring; positions that
+// predate the checkpoint window fall back to replay-rebuilding from the ring
+// contents, which yields the same values the incremental maintenance had at
+// that position.
 package ghist
 
 const (
@@ -22,10 +24,17 @@ const (
 type Fold int
 
 type foldSpec struct {
-	length int    // history bits folded
-	width  int    // output index width in bits
-	path   bool   // fold the path ring instead of the outcome ring
-	val    uint64 // current folded value
+	length int  // history bits folded
+	width  int  // output index width in bits
+	path   bool // fold the path ring instead of the outcome ring
+
+	// Precomputed at registration so the per-push step does no division:
+	// the width-bit mask, and the rotation the evicted entry has picked up
+	// since it was inserted length pushes ago.
+	mask  uint64
+	evict uint // length % width
+
+	val uint64 // current folded value
 }
 
 // History is the speculative global history. The zero value is an empty
@@ -72,31 +81,28 @@ func (h *History) Push(taken bool, pc uint64) {
 	}
 	ck := h.ckpt[int(h.pos&capMask)*n : int(h.pos&capMask)*n+n]
 	for i := range h.folds {
-		h.stepFold(&h.folds[i])
+		h.stepFold(&h.folds[i], b, uint16(pc))
 		ck[i] = h.folds[i].val
 	}
 }
 
-// stepFold advances fold f for the outcome/path just pushed (h.pos already
-// incremented). Classic TAGE circular shift register: rotate left by 1,
-// insert the new bit, remove the bit that fell off the history window.
-func (h *History) stepFold(f *foldSpec) {
-	mask := uint64(1)<<f.width - 1
-	f.val = ((f.val << 1) | (f.val >> (f.width - 1))) & mask
-	f.val ^= uint64(h.recent(0, f.path))
-	if h.pos >= uint64(f.length) {
-		// The evicted entry was inserted (masked to width bits) length pushes
-		// ago and has been rotated length%width positions since.
-		old := uint64(h.recent(f.length, f.path)) & mask
-		f.val ^= rotl(old, uint(f.length%f.width), f.width)
+// stepFold advances fold f for the outcome bit and path entry just pushed
+// (h.pos already incremented). Classic TAGE circular shift register: rotate
+// left by 1, insert the new entry, remove the entry that fell off the
+// history window.
+func (h *History) stepFold(f *foldSpec, bit byte, pc uint16) {
+	w := uint(f.width)
+	v := (f.val<<1 | f.val>>(w-1)) & f.mask
+	in := uint64(bit)
+	if f.path {
+		in = uint64(pc)
 	}
-	f.val &= mask
-}
-
-func rotl(v uint64, n uint, width int) uint64 {
-	n %= uint(width)
-	mask := uint64(1)<<width - 1
-	return ((v << n) | (v >> (uint(width) - n))) & mask
+	v ^= in
+	if h.pos >= uint64(f.length) {
+		old := uint64(h.recent(f.length, f.path)) & f.mask
+		v ^= (old<<f.evict | old>>(w-f.evict)) & f.mask
+	}
+	f.val = v & f.mask
 }
 
 // recent returns the i-th most recent entry (i=0 is the newest) from the
@@ -110,9 +116,11 @@ func (h *History) recent(i int, path bool) uint16 {
 }
 
 // RegisterFold registers a folded view of the last length outcomes (or path
-// entries) into width bits and returns its handle. Must be called before any
-// Push for the fold to be exact; predictors register all folds at
-// construction time.
+// entries) into width bits and returns its handle. Registering a view equal
+// to an existing one (after clamping) returns the existing handle, so
+// predictors sharing a geometry pay for each distinct fold once. Folds
+// should be registered before the first Push; predictors register all of
+// theirs at construction time.
 func (h *History) RegisterFold(length, width int, path bool) Fold {
 	// The ring overwrites the slot that is exactly Capacity pushes old at
 	// every push, so the longest window whose eviction is still readable is
@@ -123,7 +131,21 @@ func (h *History) RegisterFold(length, width int, path bool) Fold {
 	if width < 1 {
 		width = 1
 	}
-	h.folds = append(h.folds, foldSpec{length: length, width: width, path: path})
+	// An identical view is already maintained: share it. The values agree
+	// by construction (a fold is a pure function of the history), and the
+	// checkpoint layout is unchanged.
+	for i := range h.folds {
+		if f := &h.folds[i]; f.length == length && f.width == width && f.path == path {
+			return Fold(i)
+		}
+	}
+	h.folds = append(h.folds, foldSpec{
+		length: length,
+		width:  width,
+		path:   path,
+		mask:   uint64(1)<<width - 1,
+		evict:  uint(length % width),
+	})
 	h.rebuildFold(len(h.folds) - 1)
 	// The checkpoint ring is laid out per registered fold, so existing
 	// checkpoints are invalid; Push resizes it lazily on its next call.
@@ -170,12 +192,11 @@ func (h *History) rebuildFold(i int) {
 	if uint64(n) > h.pos {
 		n = int(h.pos)
 	}
-	mask := uint64(1)<<f.width - 1
 	var v uint64
 	for j := n - 1; j >= 0; j-- { // oldest within window first
-		v = ((v << 1) | (v >> (f.width - 1))) & mask
+		v = (v<<1 | v>>(uint(f.width)-1)) & f.mask
 		v ^= uint64(h.recent(j, f.path))
-		v &= mask
+		v &= f.mask
 	}
 	f.val = v
 }
@@ -185,7 +206,7 @@ type State struct {
 	bits [Capacity]byte
 	path [Capacity]uint16
 	pos  uint64
-	vals []uint64 // registered folds' current values, in registration order
+	vals []uint64 // distinct registered folds' values, in registration order
 }
 
 // Snapshot captures the complete mutable state of the history: the rings,
@@ -203,7 +224,8 @@ func (h *History) Snapshot() *State {
 }
 
 // Restore reinstates a snapshot taken from a history with the same fold
-// registration sequence (same predictors constructed in the same order).
+// registration sequence (same predictors constructed in the same order, so
+// the same deduplicated fold set).
 // The receiver's fold registrations are kept; only their values change.
 func (h *History) Restore(st *State) {
 	if len(st.vals) != len(h.folds) {

@@ -36,7 +36,16 @@ func referenceFold(h *History, length, width int, path bool) uint64 {
 	var v uint64
 	for a := 0; a < n; a++ {
 		e := uint64(h.recent(a, path)) & mask
-		v ^= rotl(e, uint(a%width), width)
+		v ^= naiveRotl(e, a%width, width)
+	}
+	return v
+}
+
+// naiveRotl rotates the width-bit value v left by n < width, bit by bit.
+func naiveRotl(v uint64, n, width int) uint64 {
+	for ; n > 0; n-- {
+		top := v >> (width - 1) & 1
+		v = (v<<1 | top) & (uint64(1)<<width - 1)
 	}
 	return v
 }
@@ -159,5 +168,126 @@ func TestFoldDeterminismProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+func TestDuplicateRegistrationSharesHandle(t *testing.T) {
+	var h History
+	a := h.RegisterFold(16, 9, true)
+	b := h.RegisterFold(20, 9, false)
+	if got := h.RegisterFold(16, 9, true); got != a {
+		t.Errorf("re-registering (16,9,path) = %d, want handle %d", got, a)
+	}
+	if got := h.RegisterFold(20, 9, false); got != b {
+		t.Errorf("re-registering (20,9) = %d, want handle %d", got, b)
+	}
+	// Views equal only after clamping are the same view too.
+	c := h.RegisterFold(Capacity*4, 0, false)
+	if got := h.RegisterFold(Capacity-1, 1, false); got != c {
+		t.Errorf("clamped duplicate = %d, want handle %d", got, c)
+	}
+	// Any differing coordinate is a distinct view.
+	for _, v := range [][3]int{{16, 9, 0}, {16, 8, 1}, {17, 9, 1}} {
+		if got := h.RegisterFold(v[0], v[1], v[2] == 1); got == a {
+			t.Errorf("RegisterFold%v shares handle %d with (16,9,path)", v, a)
+		}
+	}
+	if n := len(h.folds); n != 6 {
+		t.Errorf("%d folds maintained, want 6 distinct", n)
+	}
+}
+
+// TestDedupedFoldsMatchNaiveUnderRollback drives a history whose folds
+// include duplicate registrations through random Push/RollTo sequences and
+// checks every handle against the naive definition after each operation.
+// The geometry covers length%width == 0 (no eviction rotation), width 1,
+// path folds, and windows longer than the checkpoint-valid region.
+func TestDedupedFoldsMatchNaiveUnderRollback(t *testing.T) {
+	type view struct {
+		length, width int
+		path          bool
+	}
+	views := []view{
+		{8, 5, false}, {18, 9, false}, {9, 9, false}, {16, 1, false},
+		{1, 1, true}, {16, 9, true}, {16, 8, true}, {37, 11, false},
+		{300, 10, false}, {16, 9, true}, {18, 9, false}, {16, 1, false},
+	}
+	rng := rand.New(rand.NewSource(23))
+	var h History
+	handles := make([]Fold, len(views))
+	for i, v := range views {
+		handles[i] = h.RegisterFold(v.length, v.width, v.path)
+	}
+	var marks []uint64
+	check := func(op string, step int) {
+		t.Helper()
+		for i, v := range views {
+			want := referenceFold(&h, v.length, v.width, v.path)
+			if got := h.Folded(handles[i]); got != want {
+				t.Fatalf("step %d (%s): fold%v = %#x, naive %#x", step, op, v, got, want)
+			}
+		}
+	}
+	for step := 0; step < 4000; step++ {
+		switch r := rng.Intn(10); {
+		case r < 7:
+			h.Push(rng.Intn(2) == 0, uint64(rng.Intn(1<<16)))
+			if rng.Intn(8) == 0 {
+				marks = append(marks, h.Pos())
+			}
+			check("push", step)
+		case len(marks) > 0:
+			// Roll back to a recorded position no older than the ring holds.
+			i := rng.Intn(len(marks))
+			h.RollTo(marks[i])
+			marks = marks[:i]
+			check("rollto", step)
+		}
+	}
+}
+
+func TestSnapshotRestoreAcrossDedupedFolds(t *testing.T) {
+	build := func() (*History, []Fold) {
+		h := &History{}
+		var fs []Fold
+		for _, v := range [][3]int{{12, 9, 0}, {16, 9, 1}, {12, 9, 0}, {40, 7, 0}, {16, 9, 1}} {
+			fs = append(fs, h.RegisterFold(v[0], v[1], v[2] == 1))
+		}
+		return h, fs
+	}
+	src, fs := build()
+	rng := rand.New(rand.NewSource(5))
+	for i := 0; i < 700; i++ {
+		src.Push(rng.Intn(2) == 0, uint64(rng.Intn(1<<16)))
+	}
+	st := src.Snapshot()
+	if len(st.vals) != 3 {
+		t.Fatalf("snapshot carries %d fold values, want 3 distinct", len(st.vals))
+	}
+	dst, dfs := build()
+	dst.Restore(st)
+	for i := range fs {
+		if dst.Folded(dfs[i]) != src.Folded(fs[i]) {
+			t.Fatalf("handle %d: restored %#x, source %#x", i, dst.Folded(dfs[i]), src.Folded(fs[i]))
+		}
+	}
+	// Both continue identically, including a rollback past the restore
+	// point (replay path) and one inside the fresh checkpoint window.
+	pos := dst.Pos()
+	for i := 0; i < 50; i++ {
+		taken, pc := rng.Intn(2) == 0, uint64(rng.Intn(1<<16))
+		src.Push(taken, pc)
+		dst.Push(taken, pc)
+	}
+	mid := dst.Pos() - 20
+	for _, p := range []uint64{mid, pos - 10} {
+		src.RollTo(p)
+		dst.RollTo(p)
+		for i := range fs {
+			if dst.Folded(dfs[i]) != src.Folded(fs[i]) {
+				t.Fatalf("after RollTo(%d) handle %d: restored %#x, source %#x",
+					p, i, dst.Folded(dfs[i]), src.Folded(fs[i]))
+			}
+		}
 	}
 }

@@ -15,11 +15,18 @@ type StoreSets struct {
 	ssitMask uint64
 	lfst     []lfstEntry
 	nextSSID uint32
+
+	// epoch makes Clear O(1): an LFST entry is valid iff its epoch equals
+	// the current one. Clear advances the epoch; only when the counter
+	// wraps does it walk the table once to reset every entry.
+	epoch uint32
 }
 
+// lfstEntry is one LFST slot. Epoch 0 is never current, so storing it
+// invalidates a single entry.
 type lfstEntry struct {
 	token uint64
-	valid bool
+	epoch uint32
 }
 
 // New builds store sets with 2^logSSIT SSIT entries and as many possible
@@ -30,6 +37,7 @@ func New(logSSIT int) *StoreSets {
 		ssit:     make([]uint32, n),
 		ssitMask: uint64(n - 1),
 		lfst:     make([]lfstEntry, n),
+		epoch:    1,
 	}
 	for i := range s.ssit {
 		s.ssit[i] = Invalid
@@ -54,9 +62,9 @@ func (s *StoreSets) StoreFetched(pc uint64, token uint64) (prev uint64, hasPrev 
 		return 0, false
 	}
 	e := &s.lfst[ssid&uint32(s.ssitMask)]
-	prev, hasPrev = e.token, e.valid
+	prev, hasPrev = e.token, e.epoch == s.epoch
 	e.token = token
-	e.valid = true
+	e.epoch = s.epoch
 	return prev, hasPrev
 }
 
@@ -68,7 +76,7 @@ func (s *StoreSets) LoadFetched(pc uint64) (token uint64, wait bool) {
 		return 0, false
 	}
 	e := &s.lfst[ssid&uint32(s.ssitMask)]
-	return e.token, e.valid
+	return e.token, e.epoch == s.epoch
 }
 
 // StoreRetired clears the LFST entry if this store is still its set's last
@@ -79,8 +87,8 @@ func (s *StoreSets) StoreRetired(pc uint64, token uint64) {
 		return
 	}
 	e := &s.lfst[ssid&uint32(s.ssitMask)]
-	if e.valid && e.token == token {
-		e.valid = false
+	if e.epoch == s.epoch && e.token == token {
+		e.epoch = 0
 	}
 }
 
@@ -113,9 +121,13 @@ func (s *StoreSets) allocSSID() uint32 {
 }
 
 // Clear invalidates all LFST entries (used at pipeline squash: no stores
-// remain in flight).
+// remain in flight). It is O(1) except once every 2^32-1 calls, when the
+// epoch wraps and every entry is reset.
 func (s *StoreSets) Clear() {
-	for i := range s.lfst {
-		s.lfst[i].valid = false
+	if s.epoch++; s.epoch == 0 {
+		for i := range s.lfst {
+			s.lfst[i].epoch = 0
+		}
+		s.epoch = 1
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/ghist"
 	"repro/internal/isa"
 )
@@ -11,14 +12,17 @@ import (
 // TestFastLoopMatchesReference pins the specialized simulate loop
 // (devirtualized predictor dispatch + idle-cycle skipping) byte-identical
 // to the reference loop (interface dispatch, a step every cycle) for every
-// predictor family × both recovery modes × two kernels with different
-// idle profiles: mcf is memory-bound (long idle windows the fast loop
-// skips), gzip is branchy (frequent squashes and short windows).
+// predictor family × both recovery modes × every oracle input: mcf is
+// memory-bound (long idle windows the fast loop skips), gzip is branchy
+// (frequent squashes and short windows), and the generated programs add
+// branch-pressure, memory-order and mixed workloads.
 func TestFastLoopMatchesReference(t *testing.T) {
 	w, m := testWin(8_000, 20_000)
 	total := w + m
 
-	for _, kernel := range []string{"mcf", "gzip"} {
+	for _, in := range oracleInputs(t) {
+		kernel := in.name
+		tr := emu.Trace(in.prog, int(total))
 		for name, mk := range snapPredictors() {
 			for _, rec := range []RecoveryMode{SquashAtCommit, SelectiveReissue} {
 				cfg := DefaultConfig()
@@ -30,10 +34,7 @@ func TestFastLoopMatchesReference(t *testing.T) {
 					if mk != nil {
 						p = mk(h)
 					}
-					s, err := NewForKernel(cfg, kernel, int(total), p, h)
-					if err != nil {
-						t.Fatalf("%s/%s/%v: %v", kernel, name, rec, err)
-					}
+					s := New(cfg, tr, p, h)
 					s.SetReferenceLoop(ref)
 					var seqs []uint64
 					s.OnCommit = func(di *isa.DynInst) { seqs = append(seqs, di.Seq) }

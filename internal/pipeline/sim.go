@@ -46,17 +46,15 @@ type robEntry struct {
 	dep1, dep2       int
 	dep1Seq, dep2Seq uint64
 
-	// Value prediction.
+	// Value prediction. The predictor's payload lives in Sim.vpMeta.
 	vpTried   bool // the predictor was consulted for this µop at fetch
 	conf      bool // confident prediction written to the PRF at dispatch
 	predWrong bool
 	predUsed  bool // a dependent issued consuming the predicted value
-	meta      core.Meta
 
-	// Branch prediction.
+	// Branch prediction. The TAGE payload lives in Sim.brMeta.
 	isCond    bool
 	brMispred bool
-	bmeta     bpred.TageMeta
 	btbBubble bool
 
 	// History/RAS checkpoints (state before this µop at fetch).
@@ -82,10 +80,8 @@ type feEntry struct {
 	vpTried   bool
 	conf      bool
 	predWrong bool
-	meta      core.Meta
 	isCond    bool
 	brMispred bool
-	bmeta     bpred.TageMeta
 	histPos   uint64
 	rasTop    int
 }
@@ -140,6 +136,19 @@ type Sim struct {
 	feq     []feEntry
 	feqHead int
 	feqLen  int
+
+	// Predictor payload rings, indexed by trace index & payloadMask: the
+	// value predictor's Meta and TAGE's bookkeeping for every in-flight µop.
+	// Predict writes a µop's slot in place at fetch and Train reads it in
+	// place at commit, so the payloads never move through the front-end
+	// queue or the ROB. In-flight trace indices (ROB then fetch queue) form
+	// one contiguous window of at most ROB+len(feq) µops — squash and
+	// refetch included, since fetch resumes right after the youngest
+	// survivor — so a power-of-two ring at least that long never aliases
+	// two live µops.
+	vpMeta      []core.Meta
+	brMeta      []bpred.TageMeta
+	payloadMask int
 
 	fetchIdx     int
 	nextFetchCyc int64
@@ -245,6 +254,13 @@ func New(cfg Config, trace []isa.DynInst, pred core.Predictor, hist *ghist.Histo
 		fw = 1
 	}
 	s.feq = make([]feEntry, fetchBufCap+fw)
+	ring := 1
+	for ring < cfg.ROB+len(s.feq) {
+		ring <<= 1
+	}
+	s.vpMeta = make([]core.Meta, ring)
+	s.brMeta = make([]bpred.TageMeta, ring)
+	s.payloadMask = ring - 1
 	// Last-fetch-cycle table, indexed by static PC (trace PCs are program
 	// indices, so the table is as small as the program).
 	maxPC := uint32(0)
@@ -414,7 +430,7 @@ func (s *Sim) commit() {
 
 		// Train predictors with the architectural outcome, in commit order.
 		if e.isCond {
-			s.tage.Train(uint64(di.PC), di.Taken, &e.bmeta)
+			s.tage.Train(uint64(di.PC), di.Taken, &s.brMeta[e.ti&s.payloadMask])
 			if s.warmed {
 				s.stats.CondBranches++
 				if e.brMispred {
@@ -424,7 +440,7 @@ func (s *Sim) commit() {
 		}
 		valueSquash := false
 		if s.pred != nil && e.vpTried {
-			s.train(uint64(di.PC), di.Result, &e.meta)
+			s.train(uint64(di.PC), di.Result, &s.vpMeta[e.ti&s.payloadMask])
 			if s.warmed {
 				s.stats.Eligible++
 				if e.conf {
@@ -974,31 +990,31 @@ func (s *Sim) dispatch() {
 			return
 		}
 
+		// Build the entry in its slot: clear it, then set what a freshly
+		// dispatched µop starts with. The predictor payloads stay in their
+		// rings, so nothing large moves here.
 		slot := s.tail
 		e := s.entry(slot)
-		*e = robEntry{
-			ti:         fe.ti,
-			seq:        di.Seq,
-			fetchCyc:   fe.readyCyc - s.cfg.FrontDepth,
-			dispCyc:    s.cycle,
-			dispatched: true,
-			inIQ:       true,
-			vpTried:    fe.vpTried,
-			conf:       fe.conf,
-			predWrong:  fe.predWrong,
-			meta:       fe.meta,
-			isCond:     fe.isCond,
-			brMispred:  fe.brMispred,
-			bmeta:      fe.bmeta,
-			histPos:    fe.histPos,
-			rasTop:     fe.rasTop,
-			hasDest:    hasDest,
-			destFP:     hasDest && di.Dst.IsFP(),
-			isLoad:     isLoad,
-			isStore:    isStore,
-			dep1:       noSlot,
-			dep2:       noSlot,
-		}
+		*e = robEntry{}
+		e.ti = fe.ti
+		e.seq = di.Seq
+		e.fetchCyc = fe.readyCyc - s.cfg.FrontDepth
+		e.dispCyc = s.cycle
+		e.dispatched = true
+		e.inIQ = true
+		e.vpTried = fe.vpTried
+		e.conf = fe.conf
+		e.predWrong = fe.predWrong
+		e.isCond = fe.isCond
+		e.brMispred = fe.brMispred
+		e.histPos = fe.histPos
+		e.rasTop = fe.rasTop
+		e.hasDest = hasDest
+		e.destFP = hasDest && di.Dst.IsFP()
+		e.isLoad = isLoad
+		e.isStore = isStore
+		e.dep1 = noSlot
+		e.dep2 = noSlot
 		s.iqUsed++
 		s.waitIssue.pushBack(slot)
 		s.iqHeld.pushBack(slot)
@@ -1100,9 +1116,9 @@ func (s *Sim) fetch() {
 			lastLine = lineAddr
 		}
 
-		// Build the entry directly in its ring slot: the predictor writes its
-		// Meta payload in place, so the per-µop hot path copies it exactly
-		// once (ring slot -> ROB entry at dispatch).
+		// Build the entry directly in its ring slot. The predictors write
+		// their payloads in place into the payload rings, where commit-time
+		// training reads them: the per-µop hot path never copies a Meta.
 		fi := s.feqHead + s.feqLen
 		if fi >= len(s.feq) {
 			fi -= len(s.feq)
@@ -1118,12 +1134,13 @@ func (s *Sim) fetch() {
 		// Value prediction happens in the front-end for every µop producing
 		// a register (Section 7.2).
 		if s.pred != nil && di.HasDest() && (!s.cfg.PredictLoadsOnly || isa.IsLoad(di.Op)) {
+			m := &s.vpMeta[s.fetchIdx&s.payloadMask]
 			fe.vpTried = true
 			s.feedActual(di.Result)
-			s.predict(uint64(di.PC), &fe.meta)
-			fe.meta.Seq = di.Seq
-			fe.conf = fe.meta.Conf
-			fe.predWrong = fe.conf && fe.meta.Pred != di.Result
+			s.predict(uint64(di.PC), m)
+			m.Seq = di.Seq
+			fe.conf = m.Conf
+			fe.predWrong = fe.conf && m.Pred != di.Result
 			// Speculative occurrence tracking, following Section 7.1's
 			// idealization: the paper assumes predictors deliver predictions
 			// instantaneously with the correct last speculative occurrences
@@ -1172,8 +1189,7 @@ func (s *Sim) fetchControl(di *isa.DynInst, fe *feEntry, taken *int) bool {
 	switch isa.ClassOf(di.Op) {
 	case isa.ClassBranch:
 		fe.isCond = true
-		predTaken, m := s.tage.Predict(pc)
-		fe.bmeta = m
+		predTaken := s.tage.Predict(pc, &s.brMeta[fe.ti&s.payloadMask])
 		mispred = predTaken != di.Taken
 		if predTaken && di.Taken {
 			if _, hit := s.btb.Lookup(pc); !hit {

@@ -12,11 +12,11 @@ import (
 )
 
 // State is an opaque snapshot of a whole Sim: every piece of mutable
-// machine state — ROB and stage worklists, fetch queue, rename map, memory
-// hierarchy, branch and value predictors, global history, statistics — deep
-// copied mid-flight. Taken at the warmup boundary it lets a sweep re-run
-// the measurement phase without re-paying warmup, byte-identically to a
-// straight-through run (DESIGN.md §9).
+// machine state — ROB and stage worklists, fetch queue, predictor payload
+// rings, rename map, memory hierarchy, branch and value predictors, global
+// history, statistics — deep copied mid-flight. Taken at the warmup
+// boundary it lets a sweep re-run the measurement phase without re-paying
+// warmup, byte-identically to a straight-through run (DESIGN.md §9).
 //
 // A State is only meaningful for a Sim built with New over the same trace
 // and the same Config (and a predictor of the same configuration): Restore
@@ -37,6 +37,9 @@ type State struct {
 	feq     []feEntry
 	feqHead int
 	feqLen  int
+
+	vpMeta []core.Meta
+	brMeta []bpred.TageMeta
 
 	fetchIdx     int
 	nextFetchCyc int64
@@ -104,6 +107,8 @@ func (s *Sim) Snapshot() *State {
 		feq:          append([]feEntry(nil), s.feq...),
 		feqHead:      s.feqHead,
 		feqLen:       s.feqLen,
+		vpMeta:       append([]core.Meta(nil), s.vpMeta...),
+		brMeta:       append([]bpred.TageMeta(nil), s.brMeta...),
 		fetchIdx:     s.fetchIdx,
 		nextFetchCyc: s.nextFetchCyc,
 		fetchBlocked: s.fetchBlocked,
@@ -142,6 +147,7 @@ func (s *Sim) Snapshot() *State {
 // history-reading value predictors is preserved.
 func (s *Sim) Restore(st *State) {
 	if len(st.rob) != len(s.rob) || len(st.feq) != len(s.feq) ||
+		len(st.vpMeta) != len(s.vpMeta) || len(st.brMeta) != len(s.brMeta) ||
 		len(st.lastFetchCyc) != len(s.lastFetchCyc) ||
 		(st.pred == nil) != (s.pred == nil) {
 		panic("pipeline: snapshot does not match this sim's configuration")
@@ -162,6 +168,8 @@ func (s *Sim) Restore(st *State) {
 	copy(s.feq, st.feq)
 	s.feqHead = st.feqHead
 	s.feqLen = st.feqLen
+	copy(s.vpMeta, st.vpMeta)
+	copy(s.brMeta, st.brMeta)
 	s.fetchIdx = st.fetchIdx
 	s.nextFetchCyc = st.nextFetchCyc
 	s.fetchBlocked = st.fetchBlocked

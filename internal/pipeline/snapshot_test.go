@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/emu"
 	"repro/internal/ghist"
 	"repro/internal/isa"
 )
@@ -32,83 +33,82 @@ func snapPredictors() map[string]func(h *ghist.History) core.Predictor {
 }
 
 // TestSnapshotRestoreByteIdentical is the tentpole differential: for every
-// predictor family × both recovery modes, a run that snapshots at the
-// warmup boundary, restores into a FRESH sim, and advances to the end must
-// reproduce the straight-through Run(warmup, measure) exactly — same Stats,
-// same commit stream — and continuing the donor sim must not corrupt the
-// snapshot (deep-copy check).
+// oracle input × predictor family × both recovery modes, a run that
+// snapshots at the warmup boundary, restores into a FRESH sim, and advances
+// to the end must reproduce the straight-through Run(warmup, measure)
+// exactly — same Stats, same commit stream — and continuing the donor sim
+// must not corrupt the snapshot (deep-copy check).
 func TestSnapshotRestoreByteIdentical(t *testing.T) {
-	kernel := "gzip"
 	w, m := testWin(8_000, 20_000)
 	total := w + m
 
-	for name, mk := range snapPredictors() {
-		for _, rec := range []RecoveryMode{SquashAtCommit, SelectiveReissue} {
-			cfg := DefaultConfig()
-			cfg.Recovery = rec
+	for _, in := range oracleInputs(t) {
+		tr := emu.Trace(in.prog, int(total))
+		for pname, mk := range snapPredictors() {
+			name := in.name + "/" + pname
+			for _, rec := range []RecoveryMode{SquashAtCommit, SelectiveReissue} {
+				cfg := DefaultConfig()
+				cfg.Recovery = rec
 
-			build := func() *Sim {
-				h := &ghist.History{}
-				var p core.Predictor
-				if mk != nil {
-					p = mk(h)
+				build := func() *Sim {
+					h := &ghist.History{}
+					var p core.Predictor
+					if mk != nil {
+						p = mk(h)
+					}
+					return New(cfg, tr, p, h)
 				}
-				s, err := NewForKernel(cfg, kernel, int(total), p, h)
+
+				// Reference: one straight run, recording the commit stream.
+				ref := build()
+				var refSeqs []uint64
+				ref.OnCommit = func(di *isa.DynInst) { refSeqs = append(refSeqs, di.Seq) }
+				refStats, err := ref.Run(w, m)
 				if err != nil {
-					t.Fatalf("%s/%v: %v", name, rec, err)
+					t.Fatalf("%s/%v: ref run: %v", name, rec, err)
 				}
-				return s
-			}
 
-			// Reference: one straight run, recording the commit stream.
-			ref := build()
-			var refSeqs []uint64
-			ref.OnCommit = func(di *isa.DynInst) { refSeqs = append(refSeqs, di.Seq) }
-			refStats, err := ref.Run(w, m)
-			if err != nil {
-				t.Fatalf("%s/%v: ref run: %v", name, rec, err)
-			}
+				// Donor: warm up, snapshot, then keep running to the end.
+				donor := build()
+				if _, err := donor.Run(w, 0); err != nil {
+					t.Fatalf("%s/%v: warmup: %v", name, rec, err)
+				}
+				snap := donor.Snapshot()
+				atSnap := donor.Stats().Committed
+				donorStats, err := donor.Advance(total - atSnap)
+				if err != nil {
+					t.Fatalf("%s/%v: donor advance: %v", name, rec, err)
+				}
+				if *donorStats != *refStats {
+					t.Errorf("%s/%v: warmed-then-advanced stats differ from straight run:\n%+v\nvs\n%+v",
+						name, rec, *donorStats, *refStats)
+				}
 
-			// Donor: warm up, snapshot, then keep running to the end.
-			donor := build()
-			if _, err := donor.Run(w, 0); err != nil {
-				t.Fatalf("%s/%v: warmup: %v", name, rec, err)
-			}
-			snap := donor.Snapshot()
-			atSnap := donor.Stats().Committed
-			donorStats, err := donor.Advance(total - atSnap)
-			if err != nil {
-				t.Fatalf("%s/%v: donor advance: %v", name, rec, err)
-			}
-			if *donorStats != *refStats {
-				t.Errorf("%s/%v: warmed-then-advanced stats differ from straight run:\n%+v\nvs\n%+v",
-					name, rec, *donorStats, *refStats)
-			}
-
-			// Restore into a fresh sim and advance to the end. The commit
-			// stream after the snapshot point must match the reference's
-			// suffix, and the final stats must be equal.
-			fresh := build()
-			fresh.Restore(snap)
-			var seqs []uint64
-			fresh.OnCommit = func(di *isa.DynInst) { seqs = append(seqs, di.Seq) }
-			freshStats, err := fresh.Advance(total - atSnap)
-			if err != nil {
-				t.Fatalf("%s/%v: restored advance: %v", name, rec, err)
-			}
-			if *freshStats != *refStats {
-				t.Errorf("%s/%v: restored stats differ from straight run:\n%+v\nvs\n%+v",
-					name, rec, *freshStats, *refStats)
-			}
-			suffix := refSeqs[atSnap:]
-			if len(seqs) != len(suffix) {
-				t.Fatalf("%s/%v: restored run committed %d µops, reference suffix has %d",
-					name, rec, len(seqs), len(suffix))
-			}
-			for i := range seqs {
-				if seqs[i] != suffix[i] {
-					t.Fatalf("%s/%v: commit stream diverges at %d: %d vs %d",
-						name, rec, i, seqs[i], suffix[i])
+				// Restore into a fresh sim and advance to the end. The commit
+				// stream after the snapshot point must match the reference's
+				// suffix, and the final stats must be equal.
+				fresh := build()
+				fresh.Restore(snap)
+				var seqs []uint64
+				fresh.OnCommit = func(di *isa.DynInst) { seqs = append(seqs, di.Seq) }
+				freshStats, err := fresh.Advance(total - atSnap)
+				if err != nil {
+					t.Fatalf("%s/%v: restored advance: %v", name, rec, err)
+				}
+				if *freshStats != *refStats {
+					t.Errorf("%s/%v: restored stats differ from straight run:\n%+v\nvs\n%+v",
+						name, rec, *freshStats, *refStats)
+				}
+				suffix := refSeqs[atSnap:]
+				if len(seqs) != len(suffix) {
+					t.Fatalf("%s/%v: restored run committed %d µops, reference suffix has %d",
+						name, rec, len(seqs), len(suffix))
+				}
+				for i := range seqs {
+					if seqs[i] != suffix[i] {
+						t.Fatalf("%s/%v: commit stream diverges at %d: %d vs %d",
+							name, rec, i, seqs[i], suffix[i])
+					}
 				}
 			}
 		}
